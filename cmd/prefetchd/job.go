@@ -118,7 +118,9 @@ func (s jobSpec) normalize() (jobSpec, error) {
 // digest is the normalized spec's content address — the result-cache
 // key. Run jobs lead with the manifest's config+seed digest (the same
 // address obs manifests record), suffixed with the payload options;
-// sweeps hash the whole normalized spec.
+// sweeps hash the whole normalized spec. The spans suffix names the
+// span payload's format ("-s2": with invalidate spans), so a cache
+// entry in an older format ("-s") is never served.
 func (s jobSpec) digest() string {
 	if s.Kind == kindRun {
 		d := "run-" + s.Config.Digest()
@@ -126,7 +128,7 @@ func (s jobSpec) digest() string {
 			d += "-m"
 		}
 		if s.Spans {
-			d += "-s"
+			d += "-s2"
 		}
 		return d
 	}

@@ -206,6 +206,11 @@ func TestRunJobPayload(t *testing.T) {
 	if !strings.HasPrefix(header.Digest, "run-") {
 		t.Fatalf("run job digest %q lacks run- prefix", header.Digest)
 	}
+	// Span payloads carry invalidate spans; their digest suffix is
+	// versioned so an older cache entry without them is never served.
+	if !strings.HasSuffix(header.Digest, "-m-s2") {
+		t.Fatalf("run job digest %q lacks the -m-s2 payload suffix", header.Digest)
+	}
 
 	var rows []string
 	var sawMetrics, sawSpans bool
@@ -250,6 +255,23 @@ func TestRunJobPayload(t *testing.T) {
 	want := prefetchsim.ConfigDigest(prefetchsim.Config{App: "matmul", Processors: 4})
 	if res.ConfigDigest != want {
 		t.Fatalf("config digest %s, want %s", res.ConfigDigest, want)
+	}
+}
+
+// TestBadAppParamsJobFails: an app that cannot run at the requested
+// processor count (Ocean needs a perfect square) fails its job with an
+// error instead of taking the server down, and the next job runs.
+func TestBadAppParamsJobFails(t *testing.T) {
+	_, base := startTestServer(t, 2)
+
+	_, _, done := submitStream(t, base, `{"config":{"app":"ocean","processors":8}}`)
+	if done.Status != statusFailed || !strings.Contains(done.Error, "perfect square") {
+		t.Fatalf("ocean/8 job: %+v, want failed with a perfect-square error", done)
+	}
+
+	_, _, done = submitStream(t, base, `{"config":{"app":"matmul","processors":4}}`)
+	if done.Status != statusDone {
+		t.Fatalf("job after the failed one: %+v, want done", done)
 	}
 }
 

@@ -348,7 +348,8 @@ const bars = "####################"
 // the paper's Figure 6 splits execution time: read stall (miss,
 // late-prefetch and SLC-hit spans), write stall (write-buffer and
 // sequential-consistency spans) and sync stall (acquire, barrier,
-// release). With an unsampled, unwrapped recording these sums equal
+// release). Ownership transactions, timely prefetches and invalidations
+// charge no stall and fall in no bucket. With an unsampled, unwrapped recording these sums equal
 // the run's ReadStall/WriteStall/SyncStall statistics exactly.
 func stallSplit(spans []obs.Span) (read, write, sync int64) {
 	for i := range spans {

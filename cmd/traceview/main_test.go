@@ -53,6 +53,21 @@ func TestStallSplit(t *testing.T) {
 	if read != 73 || write != 10 || sync != 17 {
 		t.Fatalf("split = %d/%d/%d, want 73/10/17", read, write, sync)
 	}
+
+	// An invalidation falls in no stall bucket. Recorded ones carry
+	// Wait 0; the nonzero wait here shows the class is not counted.
+	inv, err := parseSpans(strings.NewReader(
+		`{"class":"invalidate","node":2,"block":45,"issue":700,"done":706,"demand":-1,"wait":99}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv[0].Class != obs.SpanInvalidate {
+		t.Fatalf("parsed class %v, want invalidate", inv[0].Class)
+	}
+	read, write, sync = stallSplit(append(spans, inv...))
+	if read != 73 || write != 10 || sync != 17 {
+		t.Fatalf("with invalidate: split = %d/%d/%d, want 73/10/17", read, write, sync)
+	}
 }
 
 func TestPercentile(t *testing.T) {

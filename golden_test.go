@@ -162,3 +162,34 @@ func TestGoldenTable2Digest(t *testing.T) {
 			got, goldenTable2Digest, strings.Join(lines, "\n"))
 	}
 }
+
+// Digests of the full metrics snapshot ("name value" lines in snapshot
+// order) of the matmul/4-processor/seed-12345 Seq run, with the paper's
+// infinite SLC and with a 16 KB SLC (where the replacement, useless and
+// late prefetch counts are all nonzero). They pin every exported metric
+// name and value, so binding the registry to other storage must leave
+// both byte-identical.
+var goldenMetricsDigests = map[int]string{
+	0:     "81a8cf073d9712b108a0259f362fc2177f21bca6f6313a0bfcc794e824da7d26",
+	16384: "49e841bebe539d3a0596b1d1250da81c4534c723b19cf60e66ad0d17aa97d380",
+}
+
+func TestGoldenMetricsSnapshotDigest(t *testing.T) {
+	for _, slc := range []int{0, 16384} {
+		res, err := prefetchsim.Run(prefetchsim.Config{
+			App: "matmul", Scheme: prefetchsim.Seq, Processors: 4, Seed: 12345,
+			SLCBytes: slc, CollectMetrics: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, len(res.Metrics))
+		for i, s := range res.Metrics {
+			lines[i] = fmt.Sprintf("%s %d", s.Name, s.Value)
+		}
+		if got, want := prefetchsim.DigestRows(lines), goldenMetricsDigests[slc]; got != want {
+			t.Errorf("SLC %d: metrics digest changed: got %s, want %s\nsnapshot:\n%s",
+				slc, got, want, strings.Join(lines, "\n"))
+		}
+	}
+}

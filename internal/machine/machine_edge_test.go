@@ -6,6 +6,7 @@ import (
 	"prefetchsim/internal/cache"
 	"prefetchsim/internal/coherence"
 	"prefetchsim/internal/mem"
+	"prefetchsim/internal/obs"
 	"prefetchsim/internal/prefetch"
 	"prefetchsim/internal/trace"
 )
@@ -280,6 +281,69 @@ func TestSharersAcrossManyNodesAllInvalidated(t *testing.T) {
 	e, _ := m.dir.Peek(mem.BlockOf(mem.Addr(x)))
 	if e.State != coherence.Dirty || e.Owner != 3 {
 		t.Fatalf("directory = %v owner %d", e.State, e.Owner)
+	}
+}
+
+// invalidateSpans returns the recorder's invalidate spans, checking the
+// fields every one of them must satisfy.
+func invalidateSpans(t *testing.T, sp *obs.SpanRecorder, x uint64) []obs.Span {
+	t.Helper()
+	var out []obs.Span
+	for _, s := range sp.Spans() {
+		if s.Class != obs.SpanInvalidate {
+			continue
+		}
+		if s.Wait != 0 || s.Demand != -1 || s.Done <= s.Issue ||
+			s.Block != uint64(mem.BlockOf(mem.Addr(x))) {
+			t.Errorf("invalidate span %+v: want Wait 0, Demand -1, Done after Issue, block of x", s)
+		}
+		out = append(out, s)
+	}
+	if got := sp.Stats().Class(obs.SpanInvalidate); got.Count != int64(len(out)) || got.WaitPclocks != 0 {
+		t.Errorf("invalidate aggregate = %d spans, %d wait; ring has %d", got.Count, got.WaitPclocks, len(out))
+	}
+	return out
+}
+
+func TestInvalidateSpansOnePerSharer(t *testing.T) {
+	// Eight processors read x, then one writes it: k = 7 sharers are
+	// invalidated, each recording one span on its own node.
+	const procs, writer = 8, 3
+	x := page1
+	streams := make([][]trace.Op, procs)
+	for i := range streams {
+		streams[i] = []trace.Op{rd(x, uint32(10*i))}
+	}
+	streams[writer] = append(streams[writer], wr(x, 3000))
+	cfg := cfgN(procs)
+	sp := obs.NewSpanRecorder(obs.SpanConfig{Cap: 1 << 10})
+	cfg.Spans = sp
+	run(t, cfg, prog(streams...))
+
+	perNode := make(map[int32]int)
+	for _, s := range invalidateSpans(t, sp, x) {
+		perNode[s.Node]++
+	}
+	if len(perNode) != procs-1 || perNode[writer] != 0 {
+		t.Fatalf("invalidate spans per node = %v, want one on each of the %d sharers", perNode, procs-1)
+	}
+	for node, c := range perNode {
+		if c != 1 {
+			t.Errorf("node %d has %d invalidate spans, want 1", node, c)
+		}
+	}
+}
+
+func TestInvalidateSpanAtOwner(t *testing.T) {
+	// Node 0 owns x, then node 1 writes it: the owner is invalidated.
+	x := page1
+	cfg := cfgN(2)
+	sp := obs.NewSpanRecorder(obs.SpanConfig{Cap: 1 << 10})
+	cfg.Spans = sp
+	run(t, cfg, prog([]trace.Op{wr(x, 0)}, []trace.Op{wr(x, 3000)}))
+	spans := invalidateSpans(t, sp, x)
+	if len(spans) != 1 || spans[0].Node != 0 {
+		t.Fatalf("invalidate spans = %+v, want one on the owner, node 0", spans)
 	}
 }
 

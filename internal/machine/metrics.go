@@ -4,29 +4,17 @@ import (
 	"fmt"
 
 	"prefetchsim/internal/obs"
-	"prefetchsim/internal/sim"
 )
 
-// NodeMetrics are one node's observability instruments (internal/obs).
-// They are embedded by value in the node, so instrumentation adds no
-// allocation, and updated with plain integer arithmetic alongside the
-// stats counters. Unlike stats.Node — whose printed form is pinned by
-// the golden digests — this struct may grow freely.
+// NodeMetrics are one node's observability instruments (internal/obs)
+// for what stats.Node does not count: write-buffer occupancy and the
+// stall distributions. They are embedded by value in the node, so
+// instrumentation adds no allocation. Counts that stats.Node already
+// keeps are exported by binding the registry to the stats fields (see
+// BindMetrics), so an exported count cannot drift from the paper's
+// tables. Unlike stats.Node — whose printed form is pinned by the
+// golden digests — this struct may grow freely.
 type NodeMetrics struct {
-	// Demand-miss taxonomy (§5.1, §5.3), mirroring the stats counters
-	// but exported through the metrics namespace.
-	MissCold        obs.Counter
-	MissCoherence   obs.Counter
-	MissReplacement obs.Counter
-
-	// Prefetch effectiveness (§3, §6): issued proposals, consumed
-	// blocks, delayed hits (in flight when demanded: useful but late),
-	// and blocks still tagged at the end of the run (useless traffic).
-	PrefIssued  obs.Counter
-	PrefUseful  obs.Counter
-	PrefLate    obs.Counter
-	PrefUseless obs.Counter
-
 	// SLWB tracks second-level write-buffer occupancy; its high-water
 	// mark shows how close the run came to the 16-entry limit.
 	SLWB obs.Gauge
@@ -49,33 +37,30 @@ type NodeMetrics struct {
 func (n *node) slwbSet() { n.met.SLWB.Set(int64(n.slwbUsed)) }
 
 // BindMetrics registers the machine's instruments — the engine's
-// dispatch counters and every node's NodeMetrics — under hierarchical
-// names ("engine.events", "node3.miss.cold") in r. It only stores
-// pointers, so it may run before Run; snapshots must wait until Run
-// returns (see internal/obs's ownership rule).
+// dispatch counters, every node's NodeMetrics, and the per-node
+// statistics behind the demand-miss taxonomy (§5.1, §5.3) and prefetch
+// effectiveness (§3, §6) — under hierarchical names ("engine.events",
+// "node3.miss.cold") in r. A late prefetch is a delayed hit (in flight
+// when demanded: useful but late); a useless one was still tagged at
+// the end of the run. It only stores pointers, so it may run before
+// Run; snapshots must wait until Run returns (see internal/obs's
+// ownership rule).
 func (m *Machine) BindMetrics(r *obs.Registry) {
 	r.BindCounter("engine.events", &m.engMet.Events)
 	r.BindGauge("engine.queue", &m.engMet.Queue)
 	for _, n := range m.nodes {
 		p := fmt.Sprintf("node%d.", n.id)
-		r.BindCounter(p+"miss.cold", &n.met.MissCold)
-		r.BindCounter(p+"miss.coherence", &n.met.MissCoherence)
-		r.BindCounter(p+"miss.replacement", &n.met.MissReplacement)
-		r.BindCounter(p+"prefetch.issued", &n.met.PrefIssued)
-		r.BindCounter(p+"prefetch.useful", &n.met.PrefUseful)
-		r.BindCounter(p+"prefetch.late", &n.met.PrefLate)
-		r.BindCounter(p+"prefetch.useless", &n.met.PrefUseless)
+		r.BindInt64(p+"miss.cold", &n.st.ColdMisses)
+		r.BindInt64(p+"miss.coherence", &n.st.CoherenceMisses)
+		r.BindInt64(p+"miss.replacement", &n.st.ReplacementMisses)
+		r.BindInt64(p+"prefetch.issued", &n.st.PrefetchesIssued)
+		r.BindInt64(p+"prefetch.useful", &n.st.PrefetchesUseful)
+		r.BindInt64(p+"prefetch.late", &n.st.DelayedHits)
+		r.BindInt64(p+"prefetch.useless", &n.st.PrefetchesUnconsumed)
 		r.BindGauge(p+"slwb", &n.met.SLWB)
 		r.BindHistogram(p+"flwb.wait", &n.met.FLWBWait)
 		r.BindHistogram(p+"read.miss.stall", &n.met.ReadMissStall)
 		r.BindHistogram(p+"lock.wait", &n.met.LockWait)
 		r.BindHistogram(p+"barrier.wait", &n.met.BarrierWait)
-	}
-}
-
-// trace emits one event to the machine's tracer, when one is attached.
-func (m *Machine) trace(kind obs.EventKind, n *node, at sim.Time, b uint64, arg uint8) {
-	if m.tr != nil {
-		m.tr.Emit(kind, n.id, int64(at), b, arg)
 	}
 }

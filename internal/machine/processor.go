@@ -198,7 +198,6 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 	if present && line.Prefetched {
 		n.slc.ClearPrefetched(b)
 		n.st.PrefetchesUseful++
-		n.met.PrefUseful.Inc()
 		if m.sp != nil {
 			m.consumePrefetchSpan(n, b, slcStart)
 		}
@@ -238,13 +237,11 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 			n.st.PrefetchesMerged++
 			n.st.PrefetchesUseful++
 			n.st.DelayedHits++
-			n.met.PrefUseful.Inc()
-			n.met.PrefLate.Inc()
 		} else {
 			// Merging with an ownership acquisition or another demand
 			// request: still a read miss.
 			n.st.ReadMisses++
-			cls := m.classifyMiss(n, b, issue)
+			cls := classifyMiss(n, b)
 			if m.sp != nil {
 				// The servicing transaction's span reports this miss's
 				// class (a pure write span becomes a miss span).
@@ -259,7 +256,7 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 		return false
 	}
 	n.st.ReadMisses++
-	cls := m.classifyMiss(n, b, issue)
+	cls := classifyMiss(n, b)
 	if m.cfg.MissObserver != nil {
 		m.cfg.MissObserver(n.id, op.PC, addr)
 	}
@@ -322,8 +319,6 @@ func (m *Machine) emitPrefetch(n *node, pb mem.Block) {
 		return
 	}
 	n.st.PrefetchesIssued++
-	n.met.PrefIssued.Inc()
-	m.trace(obs.EvPrefetch, n, n.pfTime, uint64(pb), 0)
 	m.sendReadTx(n, pb, true, n.pfTime)
 }
 
@@ -358,7 +353,6 @@ func (m *Machine) doWrite(n *node, op trace.Op) bool {
 		// A store consumes the prefetched block too.
 		n.slc.ClearPrefetched(b)
 		n.st.PrefetchesUseful++
-		n.met.PrefUseful.Inc()
 		if m.sp != nil {
 			m.consumePrefetchSpan(n, b, slcStart)
 		}

@@ -130,8 +130,11 @@ func (m *Machine) ownerDowngrade(own *node, b mem.Block) (sim.Time, bool) {
 // ownerInvalidate makes the owning node supply a modified block and
 // invalidate it (a write by another node). Returns the supply time.
 func (m *Machine) ownerInvalidate(own *node, b mem.Block) sim.Time {
-	t := own.slcRes.Acquire(m.eng.Now(), SLCCycle) + SLCCycle
-	m.trace(obs.EvInvalidate, own, t, uint64(b), 0)
+	now := m.eng.Now()
+	t := own.slcRes.Acquire(now, SLCCycle) + SLCCycle
+	if m.sp != nil {
+		m.stallSpan(obs.SpanInvalidate, own, uint64(b), now, t, 0)
+	}
 	if line, ok := own.slc.Invalidate(b); ok {
 		if line.State != cache.Modified {
 			panic(fmt.Sprintf("machine: owner-invalidate at node %d for %v block", own.id, line.State))
@@ -167,7 +170,6 @@ func (m *Machine) finishReadFill(n *node, b mem.Block, tx *pendingTx, e *coheren
 	slcStart := n.slcRes.Acquire(t, SLCCycle)
 	done := slcStart + SLCCycle
 
-	m.trace(obs.EvAck, n, done, uint64(b), obs.AckReadFill)
 	tag := tx.prefetch && !tx.demand && !tx.invalidated
 	if m.sp != nil {
 		m.completeReadSpan(n, tx, t, done, tag, b)
@@ -333,7 +335,6 @@ func (m *Machine) finishWriteGrant(n *node, b mem.Block, tx *pendingTx, e *coher
 	slcStart := n.slcRes.Acquire(t, SLCCycle)
 	done := slcStart + SLCCycle
 
-	m.trace(obs.EvAck, n, done, uint64(b), obs.AckWriteGrant)
 	if m.sp != nil {
 		m.completeTxSpan(tx, t, done)
 	}
@@ -367,8 +368,11 @@ func (m *Machine) finishWriteGrant(n *node, b mem.Block, tx *pendingTx, e *coher
 // time. If the block's data is still in flight to this node, the fill
 // is marked so the block is consumed once but not cached.
 func (m *Machine) applyInv(n *node, b mem.Block) sim.Time {
-	t := n.slcRes.Acquire(m.eng.Now(), SLCCycle) + SLCCycle
-	m.trace(obs.EvInvalidate, n, t, uint64(b), 0)
+	now := m.eng.Now()
+	t := n.slcRes.Acquire(now, SLCCycle) + SLCCycle
+	if m.sp != nil {
+		m.stallSpan(obs.SpanInvalidate, n, uint64(b), now, t, 0)
+	}
 	if _, ok := n.slc.Invalidate(b); ok {
 		n.flc.Invalidate(b)
 		*n.hist.Ref(b) |= hInv

@@ -55,9 +55,10 @@ func (m *Machine) completeTxSpan(tx *pendingTx, arrive, done sim.Time) {
 	m.sp.Complete(*s)
 }
 
-// stallSpan records a local stall episode (SLC hit, write-buffer
-// admission, SC write completion, acquire/barrier/release) that is not
-// a network transaction: only Issue/Done/Wait are meaningful.
+// stallSpan records a local episode (SLC hit, write-buffer admission,
+// SC write completion, acquire/barrier/release, an applied
+// invalidation) that is not a network transaction: only
+// Issue/Done/Wait are meaningful.
 func (m *Machine) stallSpan(cls obs.SpanClass, n *node, block uint64, issue, done, wait sim.Time) {
 	m.sp.Complete(obs.Span{
 		Class: cls, Node: int32(n.id), Block: block,

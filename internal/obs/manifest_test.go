@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func sampleManifest() *Manifest {
 		VirtualTime: 987654,
 		StatsDigest: DigestStrings([]string{"a", "b"}),
 		Metrics:     map[string]int64{"node.miss.cold": 17, "engine.events": 40},
-		Trace:       &TraceSummary{Seen: 100, Kept: 64, Dropped: 36},
+		Spans:       &SpanSummary{Ring: TraceSummary{Seen: 100, Kept: 64, Dropped: 36}},
 	}
 }
 
@@ -46,6 +47,22 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v", got, m)
+	}
+}
+
+// TestManifestLegacyTraceKey: manifests written while runs could carry
+// an event-trace summary have a "trace" key; they still decode, and the
+// key is ignored.
+func TestManifestLegacyTraceKey(t *testing.T) {
+	doc := `{"schema":` + strconv.Itoa(ManifestSchema) +
+		`,"go_version":"go1.22","wall_ns":1,"virtual_time":2,"stats_digest":"d",` +
+		`"trace":{"seen":100,"kept":64,"dropped":36,"sampled":0}}`
+	m, err := DecodeManifest(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.VirtualTime != 2 || m.StatsDigest != "d" {
+		t.Fatalf("decoded %+v", m)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package obs is the simulator's observability layer: plain-integer
 // metric instruments cheap enough to live on the hot paths, a registry
-// that binds them into one hierarchical namespace for export, a
-// ring-buffered event tracer flushed as JSONL off the hot path, and the
-// per-run manifest that makes a simulation's full provenance (config,
-// seed, toolchain, stats digest, metrics) a single machine-checkable
-// JSON document.
+// that binds them (and plain statistic fields) into one hierarchical
+// namespace for export, transaction spans with a sampled ring flushed
+// as JSONL off the hot path, and the per-run manifest that makes a
+// simulation's full provenance (config, seed, toolchain, stats digest,
+// metrics) a single machine-checkable JSON document.
 //
 // The design splits instrumentation from export so that observing costs
 // nothing it does not have to:
@@ -15,9 +15,10 @@
 //     fixed-size array — and updates are non-atomic single-word
 //     arithmetic, safe because one simulation runs on one goroutine.
 //   - A Registry is only built when a caller wants the numbers out: it
-//     binds names ("node3.miss.cold") to the embedded instruments and
-//     renders a sorted Snapshot. Nothing on the simulation fast path
-//     ever touches a map or a string.
+//     binds names ("node3.miss.cold") to the embedded instruments, or
+//     straight to the statistic a count already lives in (BindInt64),
+//     and renders a sorted Snapshot. Nothing on the simulation fast
+//     path ever touches a map or a string.
 //
 // Instruments belonging to one simulation must only be read after that
 // simulation's Run returns (or from its own goroutine). The Registry
@@ -180,10 +181,10 @@ func totalName(name string) string {
 }
 
 // entry is one bound instrument. Exactly one of the instrument
-// pointers is set.
+// pointers is set; c holds a Counter's value or a bound plain int64.
 type entry struct {
 	name string
-	c    *Counter
+	c    *int64
 	g    *Gauge
 	h    *Histogram
 	ac   *AtomicCounter
@@ -216,7 +217,12 @@ func (r *Registry) bind(e entry) {
 
 // BindCounter registers an externally owned counter under name.
 // Binding a name twice is a programming error and panics.
-func (r *Registry) BindCounter(name string, c *Counter) { r.bind(entry{name: name, c: c}) }
+func (r *Registry) BindCounter(name string, c *Counter) { r.BindInt64(name, &c.v) }
+
+// BindInt64 registers an externally owned plain int64 as a counter
+// under name, so a count kept elsewhere (a statistics field) exports
+// without a second copy.
+func (r *Registry) BindInt64(name string, p *int64) { r.bind(entry{name: name, c: p}) }
 
 // BindGauge registers an externally owned gauge under name.
 func (r *Registry) BindGauge(name string, g *Gauge) { r.bind(entry{name: name, g: g}) }
@@ -314,7 +320,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range r.entries {
 		switch {
 		case e.c != nil:
-			s = append(s, Sample{e.name, e.c.Value()})
+			s = append(s, Sample{e.name, *e.c})
 		case e.ac != nil:
 			s = append(s, Sample{e.name, e.ac.Value()})
 		case e.g != nil:

@@ -68,6 +68,11 @@ func TestRegistrySnapshot(t *testing.T) {
 	var ext Counter
 	ext.Add(7)
 	r.BindCounter("node3.miss.cold", &ext)
+	// A plain int64 binds by pointer: the snapshot reads its value at
+	// snapshot time, not at bind time.
+	var issued int64
+	r.BindInt64("node3.prefetch.issued", &issued)
+	issued = 5
 	r.Counter("engine.events").Add(100)
 	g := r.Gauge("node3.slwb")
 	g.Set(4)
@@ -83,14 +88,15 @@ func TestRegistrySnapshot(t *testing.T) {
 		}
 	}
 	want := map[string]int64{
-		"engine.events":   100,
-		"node3.miss.cold": 7,
-		"node3.slwb":      1,
-		"node3.slwb.max":  4,
-		"node3.lat.count": 2,
-		"node3.lat.sum":   303,
-		"node3.lat.lt4":   1,
-		"node3.lat.lt512": 1,
+		"engine.events":         100,
+		"node3.miss.cold":       7,
+		"node3.prefetch.issued": 5,
+		"node3.slwb":            1,
+		"node3.slwb.max":        4,
+		"node3.lat.count":       2,
+		"node3.lat.sum":         303,
+		"node3.lat.lt4":         1,
+		"node3.lat.lt512":       1,
 	}
 	if got := s.Map(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot map = %v, want %v", got, want)

@@ -13,12 +13,14 @@ import (
 // inside the machine's pooled transaction records (no allocation on the
 // simulation path) and handed to a SpanRecorder exactly once, at
 // completion. The recorder aggregates every span into per-class
-// latency-breakdown statistics and keeps a sampled ring of raw spans
-// for JSONL export, mirroring the Tracer's ring/sample/flush contract.
+// latency-breakdown statistics and keeps a fixed ring of raw spans
+// (written on the hot path with no allocation and no I/O, optionally
+// sampled 1-in-N) that is serialized as JSONL once, when the run
+// flushes it. A full ring overwrites its oldest spans — the ring keeps
+// the tail of the run — and the drop count is reported in the summary
+// so a truncated span file is never mistaken for a complete one.
 
-// SpanClass classifies one completed span. The first three values
-// intentionally match the Miss* trace constants so a miss class
-// converts to a span class directly.
+// SpanClass classifies one completed span.
 type SpanClass uint8
 
 const (
@@ -55,6 +57,10 @@ const (
 	// SpanRelease is a release stalled draining pending transactions
 	// under the RC write-completion rule.
 	SpanRelease
+	// SpanInvalidate is an invalidation applied at a sharer or at the
+	// owner: Issue is its arrival at the node, Done is when the SLC has
+	// applied it. It charges no stall (Wait is 0).
+	SpanInvalidate
 
 	// NumSpanClasses bounds per-class arrays.
 	NumSpanClasses
@@ -63,7 +69,7 @@ const (
 var spanClassNames = [NumSpanClasses]string{
 	"miss.cold", "miss.coherence", "miss.replacement", "write",
 	"prefetch", "prefetch.late", "slc.hit", "flwb", "sc.write",
-	"acquire", "barrier", "release",
+	"acquire", "barrier", "release", "invalidate",
 }
 
 // String returns the class's JSONL name.
@@ -128,8 +134,8 @@ func (s *Span) Total() int64 { return s.Done - s.Issue }
 // SpanConfig configures a SpanRecorder.
 type SpanConfig struct {
 	// W receives the sampled raw spans as JSONL when Flush runs. nil
-	// discards them (aggregation still sees every span). Like the
-	// Tracer, Flush drains the ring exactly once.
+	// discards them (aggregation still sees every span). Flush drains
+	// the ring exactly once.
 	W io.Writer
 	// Cap is the raw-span ring capacity (default 1<<15). When the ring
 	// wraps, the oldest spans are overwritten.
@@ -177,6 +183,18 @@ type SpanClassSummary struct {
 	WaitPclocks  int64 `json:"wait_pclocks"`
 }
 
+// TraceSummary reports what a span ring saw and kept.
+type TraceSummary struct {
+	// Seen counts every span offered to the ring.
+	Seen uint64 `json:"seen"`
+	// Kept counts spans in the ring at flush time.
+	Kept uint64 `json:"kept"`
+	// Dropped counts sampled-in spans overwritten by ring wrap-around.
+	Dropped uint64 `json:"dropped"`
+	// Sampled counts spans discarded by 1-in-N sampling.
+	Sampled uint64 `json:"sampled"`
+}
+
 // SpanSummary is the manifest view of a span recording: ring counters
 // plus the exact per-class aggregates.
 type SpanSummary struct {
@@ -188,8 +206,8 @@ type SpanSummary struct {
 }
 
 // SpanRecorder aggregates completed spans and retains a sampled ring
-// of raw spans for JSONL export. Single-goroutine, like the Tracer;
-// Complete allocates nothing and performs no I/O.
+// of raw spans for JSONL export. Single-goroutine, like the metric
+// instruments; Complete allocates nothing and performs no I/O.
 type SpanRecorder struct {
 	w       io.Writer
 	ring    []Span
@@ -255,9 +273,8 @@ func (r *SpanRecorder) ObserveIdle(pclocks int64) {
 // further Complete calls if a stable copy is needed).
 func (r *SpanRecorder) Stats() *SpanStats { return &r.stats }
 
-// Summary returns the raw-ring counters (same semantics as the
-// Tracer's: Kept spans are in the ring, Dropped were overwritten,
-// Sampled were discarded by 1-in-N sampling).
+// Summary returns the raw-ring counters: Kept spans are in the ring,
+// Dropped were overwritten, Sampled were discarded by 1-in-N sampling.
 func (r *SpanRecorder) Summary() TraceSummary {
 	kept := r.stored
 	if max := uint64(len(r.ring)); kept > max {

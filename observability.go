@@ -9,19 +9,17 @@ import (
 	"prefetchsim/internal/obs"
 )
 
-// Observability re-exports (internal/obs): metric snapshots, event
-// tracing and per-run provenance manifests. Collection is opt-in per
-// Config; the simulation's instruments themselves are always on and
-// allocation-free.
+// Observability re-exports (internal/obs): metric snapshots,
+// transaction spans, timelines and per-run provenance manifests.
+// Collection is opt-in per Config; the simulation's instruments
+// themselves are always on and allocation-free.
 type (
 	// MetricsSnapshot is a flat, name-sorted rendering of every
 	// instrument of a run ("engine.events", "node3.miss.cold", ...).
 	MetricsSnapshot = obs.Snapshot
 	// MetricSample is one named value of a MetricsSnapshot.
 	MetricSample = obs.Sample
-	// TraceConfig configures event tracing for one run.
-	TraceConfig = obs.TraceConfig
-	// TraceSummary reports what a run's tracer saw and kept.
+	// TraceSummary reports what a run's span ring saw and kept.
 	TraceSummary = obs.TraceSummary
 	// Manifest is the provenance record of one run.
 	Manifest = obs.Manifest
@@ -60,7 +58,8 @@ const NumSpanClasses = obs.NumSpanClasses
 // read-stall classes (misses, late prefetches, SLC hits), the
 // write-stall classes (write buffer, sequential consistency), the
 // sync-stall classes (acquire, barrier, release), plus ownership
-// transactions and timely prefetches, which charge no stall.
+// transactions, timely prefetches and applied invalidations, which
+// charge no stall.
 const (
 	SpanMissCold        = obs.SpanMissCold
 	SpanMissCoherence   = obs.SpanMissCoherence
@@ -74,6 +73,7 @@ const (
 	SpanAcquire         = obs.SpanAcquire
 	SpanBarrier         = obs.SpanBarrier
 	SpanRelease         = obs.SpanRelease
+	SpanInvalidate      = obs.SpanInvalidate
 )
 
 // DigestRows is the canonical SHA-256 digest of a sweep's rendered
@@ -149,7 +149,8 @@ func (c Config) runConfig(app string) RunConfig {
 // NewManifest builds the provenance record of a completed run: the
 // effective configuration, toolchain and source revision, wall and
 // virtual time, the canonical stats digest, and — when the run
-// collected them — machine-wide metric totals and the trace summary.
+// collected them — machine-wide metric totals, the span summary and
+// the timeline's shape.
 func NewManifest(cfg Config, res *Result, wall time.Duration) *Manifest {
 	cfg = cfg.withDefaults()
 	// Config.App is the reproducible identifier; a custom Program has
@@ -169,7 +170,6 @@ func NewManifest(cfg Config, res *Result, wall time.Duration) *Manifest {
 		WallNS:        wall.Nanoseconds(),
 		VirtualTime:   int64(res.Stats.ExecTime),
 		StatsDigest:   StatsDigest(res.Stats),
-		Trace:         res.TraceStats,
 	}
 	if len(res.Metrics) > 0 {
 		m.Metrics = res.Metrics.Totals()

@@ -1,10 +1,11 @@
 package prefetchsim
 
-// Tests for the observability layer's root-package contracts: tracing
-// must never perturb simulation results, metric totals must agree with
-// the statistics they mirror, manifests must survive a disk round
-// trip, and a parallel sweep's manifest recorder must be race-clean
-// while being read live.
+// Tests for the observability layer's root-package contracts: spans
+// and timelines must never perturb simulation results, span aggregates
+// and timeline windows must reconcile with the statistics, manifests
+// must survive a disk round trip, and a parallel sweep's manifest
+// recorder must be race-clean while being read live. The metrics
+// snapshot is pinned by a golden digest (golden_test.go).
 
 import (
 	"bytes"
@@ -22,96 +23,6 @@ import (
 // 4 processors, the golden-test machine.
 func obsConfig(scheme Scheme) Config {
 	return Config{App: "matmul", Scheme: scheme, Processors: 4, Seed: 12345}
-}
-
-// TestTraceDifferential is the acceptance check that tracing is purely
-// observational: a run with a tracer attached produces byte-identical
-// statistics to the same run without one.
-func TestTraceDifferential(t *testing.T) {
-	plain, err := Run(obsConfig(Seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	cfg := obsConfig(Seq)
-	cfg.Trace = &TraceConfig{W: &buf}
-	traced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := StatsDigest(traced.Stats), StatsDigest(plain.Stats); got != want {
-		t.Fatalf("tracing changed the stats digest: %s != %s", got, want)
-	}
-	if !reflect.DeepEqual(traced.Stats, plain.Stats) {
-		t.Fatal("tracing changed the statistics")
-	}
-
-	sum := traced.TraceStats
-	if sum == nil || sum.Seen == 0 {
-		t.Fatalf("trace summary = %+v, want events", sum)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if uint64(len(lines)) != sum.Kept {
-		t.Fatalf("flushed %d JSONL lines, summary says kept %d", len(lines), sum.Kept)
-	}
-	for i, l := range lines[:min(len(lines), 3)] {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(l), &ev); err != nil {
-			t.Fatalf("trace line %d not JSON: %v (%s)", i, err, l)
-		}
-	}
-}
-
-// TestMetricsMatchStats pins the metric instruments to the statistics
-// they run alongside: the miss taxonomy, prefetch counters and engine
-// dispatch count must agree exactly.
-func TestMetricsMatchStats(t *testing.T) {
-	cfg := obsConfig(Seq)
-	cfg.CollectMetrics = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Metrics) == 0 {
-		t.Fatal("CollectMetrics produced no snapshot")
-	}
-	totals := res.Metrics.Totals()
-
-	var cold, coh, repl, issued, useful, misses int64
-	for i := range res.Stats.Nodes {
-		n := &res.Stats.Nodes[i]
-		cold += n.ColdMisses
-		coh += n.CoherenceMisses
-		repl += n.ReplacementMisses
-		issued += n.PrefetchesIssued
-		useful += n.PrefetchesUseful
-		misses += n.ReadMisses
-	}
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{"node.miss.cold", cold},
-		{"node.miss.coherence", coh},
-		{"node.miss.replacement", repl},
-		{"node.prefetch.issued", issued},
-		{"node.prefetch.useful", useful},
-	} {
-		if got := totals[c.name]; got != c.want {
-			t.Errorf("%s = %d, want %d (stats)", c.name, got, c.want)
-		}
-	}
-	if got := totals["node.miss.cold"] + totals["node.miss.coherence"] + totals["node.miss.replacement"]; got != misses {
-		t.Errorf("miss classes sum to %d, stats count %d read misses", got, misses)
-	}
-	if totals["engine.events"] == 0 {
-		t.Error("engine.events = 0, want dispatched events")
-	}
-	if got, ok := res.Metrics.Get("node0.read.miss.stall.count"); !ok || got == 0 {
-		t.Errorf("node0.read.miss.stall.count = %d,%v, want observations", got, ok)
-	}
 }
 
 // TestSpanDifferential is the acceptance check that span and timeline
@@ -302,14 +213,14 @@ func TestTimelineMatchesTotals(t *testing.T) {
 func TestManifestRoundTripFromRun(t *testing.T) {
 	cfg := obsConfig(DDet)
 	cfg.CollectMetrics = true
-	cfg.Trace = &TraceConfig{Cap: 1 << 10, Sample: 4}
+	cfg.Spans = &SpanConfig{Cap: 1 << 10, Sample: 4}
 	start := time.Now()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewManifest(cfg, res, time.Since(start))
-	if m.VirtualTime == 0 || m.StatsDigest == "" || len(m.Metrics) == 0 || m.Trace == nil {
+	if m.VirtualTime == 0 || m.StatsDigest == "" || len(m.Metrics) == 0 || m.Spans == nil {
 		t.Fatalf("manifest incomplete: %+v", m)
 	}
 	if m.Config.App != "matmul" || m.Config.Scheme != string(DDet) ||

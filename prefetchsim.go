@@ -94,12 +94,28 @@ func Apps() []string { return apps.Names() }
 func ExtraApps() []string { return apps.Extras() }
 
 // BuildApp constructs a built-in application's program without running
-// it (for recording to a trace file, or custom machine drivers).
-func BuildApp(name string, params Params) (*Program, error) {
+// it (for recording to a trace file, or custom machine drivers). It is
+// the one path from an app name to a program: Run builds through it
+// too. Parameters an app cannot run with (Ocean needs a square
+// processor count, the SPLASH codes enough work per processor) are
+// reported as an error.
+func BuildApp(name string, params Params) (prog *Program, err error) {
 	mk, err := apps.Get(name)
 	if err != nil {
 		return nil, err
 	}
+	// The app builders validate their parameters by panicking with a
+	// message before any generator starts; anything else is a bug and
+	// keeps panicking.
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, fmt.Errorf("prefetchsim: %s", msg)
+		}
+	}()
 	return mk(params), nil
 }
 
@@ -214,16 +230,13 @@ type Config struct {
 	// instrument (engine dispatch counters, per-node miss taxonomy,
 	// prefetch effectiveness, stall histograms) to the result.
 	CollectMetrics bool
-	// Trace, when non-nil, records a ring-buffered event trace
-	// (misses, prefetches, invalidations, acks); the summary is
-	// attached to the result and the JSONL flushes to Trace.W. Purely
-	// observational: results are byte-identical with or without it.
-	Trace *TraceConfig
 	// Spans, when non-nil, records one lifecycle span per memory-system
-	// transaction and stall episode (issue → network → directory →
-	// service → reply → fill, with per-hop virtual-time stamps). Exact
-	// per-class aggregates attach to Result.Spans; the sampled raw
-	// spans flush as JSONL to Spans.W. Purely observational.
+	// transaction, stall episode and applied invalidation (issue →
+	// network → directory → service → reply → fill, with per-hop
+	// virtual-time stamps). Exact per-class aggregates attach to
+	// Result.Spans; the sampled raw spans flush as JSONL to Spans.W.
+	// Purely observational: results are byte-identical with or without
+	// it.
 	Spans *SpanConfig
 	// Timeline, when non-nil with a positive Window, snapshots the
 	// instruments every Window pclocks of virtual time; the windowed
@@ -266,8 +279,6 @@ type Result struct {
 	// Metrics is the name-sorted instrument snapshot when
 	// Config.CollectMetrics was set.
 	Metrics MetricsSnapshot
-	// TraceStats summarizes the event trace when Config.Trace was set.
-	TraceStats *TraceSummary
 	// Spans holds the exact per-class span aggregates when Config.Spans
 	// was set; SpanTrace summarizes the sampled raw-span ring.
 	Spans     *SpanStats
@@ -314,11 +325,11 @@ func Run(cfg Config) (*Result, error) {
 
 	prog := cfg.Program
 	if prog == nil {
-		mk, err := apps.Get(cfg.App)
+		var err error
+		prog, err = BuildApp(cfg.App, Params{Procs: cfg.Processors, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		prog = mk(workload.Params{Procs: cfg.Processors, Scale: cfg.Scale, Seed: cfg.Seed})
 	}
 	defer prog.Stop()
 
@@ -350,11 +361,6 @@ func Run(cfg Config) (*Result, error) {
 		mcfg.MissObserver = col.Observe
 	}
 
-	var tr *obs.Tracer
-	if cfg.Trace != nil {
-		tr = obs.NewTracer(*cfg.Trace)
-		mcfg.Tracer = tr
-	}
 	var sp *obs.SpanRecorder
 	if cfg.Spans != nil {
 		sp = obs.NewSpanRecorder(*cfg.Spans)
@@ -388,13 +394,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if reg != nil {
 		res.Metrics = reg.Snapshot()
-	}
-	if tr != nil {
-		if err := tr.Flush(); err != nil {
-			return nil, err
-		}
-		s := tr.Summary()
-		res.TraceStats = &s
 	}
 	if sp != nil {
 		if err := sp.Flush(); err != nil {

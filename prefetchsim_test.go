@@ -2,6 +2,7 @@ package prefetchsim_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,6 +27,38 @@ func TestAppsListsPaperOrder(t *testing.T) {
 func TestRunUnknownAppFails(t *testing.T) {
 	if _, err := prefetchsim.Run(prefetchsim.Config{App: "fft"}); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestBadAppParamsFail: an app that cannot run with the requested
+// parameters is an error from both BuildApp and Run, not a panic.
+func TestBadAppParamsFail(t *testing.T) {
+	for _, c := range []struct {
+		app   string
+		procs int
+		want  string
+	}{
+		{"ocean", 2, "not a perfect square"},
+		{"ocean", 8, "not a perfect square"},
+		{"water", 256, "too few for 256 processors"},
+		{"pthor", 1024, "too few for 1024 processors"},
+	} {
+		name := fmt.Sprintf("%s/%d", c.app, c.procs)
+		if _, err := prefetchsim.BuildApp(c.app, prefetchsim.Params{Procs: c.procs}); err == nil ||
+			!strings.Contains(err.Error(), c.want) {
+			t.Errorf("BuildApp %s: err = %v, want %q", name, err, c.want)
+		}
+		prog, err := prefetchsim.BuildApp(c.app, prefetchsim.Params{Procs: 4})
+		if err != nil {
+			t.Errorf("BuildApp %s at 4 processors: %v", c.app, err)
+		} else {
+			prog.Stop()
+		}
+		cfg := small(c.app, prefetchsim.Seq)
+		cfg.Processors = c.procs
+		if _, err := prefetchsim.Run(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run %s: err = %v, want %q", name, err, c.want)
+		}
 	}
 }
 

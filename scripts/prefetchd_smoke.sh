@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 #
 # End-to-end smoke test of the simulation service: build prefetchd and
-# prefetchctl, boot the server on an ephemeral port, submit the same
-# small Figure-6 job twice, and assert the contract the result cache
-# promises:
+# prefetchctl, boot the server on an ephemeral port, submit a job the
+# app cannot run, then the same small Figure-6 job twice, and assert
+# the contract the server and its result cache promise:
 #
 #   - the server reports ready on /readyz before any traffic is sent,
+#   - a job with parameters the app rejects (Ocean on 8 processors, not
+#     a perfect square) ends with a failed done line carrying an error,
+#     and the server stays up and ready,
 #   - the first submission computes (done line says cache "miss"),
 #   - the second is served from the cache (done line says "hit"),
 #   - the row lines of both NDJSON transcripts are byte-identical,
@@ -15,7 +18,7 @@
 #     incremented and the runner queue drained back to zero,
 #   - SIGTERM drains gracefully and persists the cache index.
 #
-# Both transcripts and the Prometheus scrape land in the artifact
+# All three transcripts and the Prometheus scrape land in the artifact
 # directory for offline inspection (CI uploads them).
 #
 # Usage: scripts/prefetchd_smoke.sh [artifact-dir]
@@ -73,6 +76,18 @@ echo "   serving on $addr (ready)"
 echo "== build info"
 "$work/prefetchd" -version | grep -q '^prefetchd ' || die "-version output malformed"
 ctl status | grep -q '"version"' || die "/status lacks the version field"
+
+echo "== bad job (expect a failed done line, server still ready)"
+curl -sS -X POST -H 'Content-Type: application/json' \
+  --data '{"config":{"app":"ocean","processors":8}}' \
+  "http://$addr/jobs?stream=1" >"$art/bad.ndjson" || die "bad-job submission got no response"
+grep '"type":"done"' "$art/bad.ndjson" | grep -q '"status":"failed"' \
+  || die "bad job did not end failed: $(cat "$art/bad.ndjson")"
+grep '"type":"done"' "$art/bad.ndjson" | grep -q '"error":"' \
+  || die "bad job's done line carries no error"
+kill -0 "$server_pid" 2>/dev/null || die "prefetchd died on a bad job: $(cat "$art/prefetchd.log")"
+code="$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/readyz")"
+[[ "$code" == "200" ]] || die "/readyz returned $code after the bad job, want 200"
 
 job=(submit -figure6 -apps lu -schemes Seq -procs 4 -stream)
 done_field() { # file field
