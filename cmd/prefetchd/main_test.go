@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -272,6 +273,32 @@ func TestBadAppParamsJobFails(t *testing.T) {
 	_, _, done = submitStream(t, base, `{"config":{"app":"matmul","processors":4}}`)
 	if done.Status != statusDone {
 		t.Fatalf("job after the failed one: %+v, want done", done)
+	}
+}
+
+// TestOversizedSpecRejected: a body over maxSpecBytes is refused with
+// 413 and counted as a bad spec, and the server goes on to complete
+// the next valid job.
+func TestOversizedSpecRejected(t *testing.T) {
+	s, base := startTestServer(t, 2)
+
+	huge := `{"apps":["` + strings.Repeat("a", maxSpecBytes) + `"]}`
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatalf("POST oversized spec: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	if got := s.badSpec.Value(); got != 1 {
+		t.Fatalf("jobs.spec.invalid = %d after the oversized spec, want 1", got)
+	}
+
+	_, _, done := submitStream(t, base, `{"config":{"app":"matmul","processors":4}}`)
+	if done.Status != statusDone {
+		t.Fatalf("job after the oversized spec: %+v, want done", done)
 	}
 }
 

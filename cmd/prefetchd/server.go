@@ -529,13 +529,23 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes caps a job submission's body. A normalized spec is well
+// under 1 KB, so the cap leaves room for any hand-written spec while a
+// client cannot make the server buffer an unbounded body.
+const maxSpecBytes = 64 << 10
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec jobSpec
 	if err := dec.Decode(&spec); err != nil {
 		s.badSpec.Inc()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
 	spec, err := spec.normalize()

@@ -8,7 +8,8 @@ import (
 )
 
 // The protocol's multi-hop transactions (protocol.go) schedule one
-// network-arrival event per hop. Each event is a pooled ev object that
+// network-arrival event per hop, and every lock and barrier message
+// (sync.go) is one event too. Each event is a pooled ev object that
 // implements sim.Handler (fired by the engine) and coherence.Waiter
 // (queued on a busy directory entry), so the schedule/fire cycle of
 // the protocol fast path allocates nothing in steady state: an ev is
@@ -50,25 +51,39 @@ const (
 	evWriteback
 	// evWritebackAck: the writeback ack arrives back at the evictor.
 	evWritebackAck
+	// evLockReq: an acquire request arrives at the lock's home memory.
+	evLockReq
+	// evLockGrant: the lock grant arrives at the acquirer.
+	evLockGrant
+	// evLockRelease: a release message arrives at the lock's home.
+	evLockRelease
+	// evBarrierArrive: a barrier arrival reaches the barrier's home.
+	evBarrierArrive
+	// evBarrierGrant: the barrier release arrives at one waiter.
+	evBarrierGrant
 )
 
-// ev is one pooled protocol event. Field meaning varies by kind: n is
-// the requesting (or evicting) node, b the block, aux an owner node,
-// invalidation target or outstanding-ack count, flag the
-// owner-retains-copy / requester-was-sharer bit, and co the ack
-// coordinator an invalidation round reports to.
+// ev is one pooled protocol or synchronization event. Field meaning
+// varies by kind: n is the requesting (or evicting, acquiring,
+// arriving) node, b the block, aux an owner node, invalidation target
+// or outstanding-ack count, flag the owner-retains-copy /
+// requester-was-sharer bit, co the ack coordinator an invalidation
+// round reports to, addr the lock address or barrier episode, and
+// issue the processor-side issue time a sync stall is charged from.
 type ev struct {
-	m    *Machine
-	kind evKind
-	n    *node
-	b    mem.Block
-	tx   *pendingTx
-	e    *coherence.Entry
-	home int
-	aux  int
-	flag bool
-	co   *ev
-	next *ev // machine free list
+	m     *Machine
+	kind  evKind
+	n     *node
+	b     mem.Block
+	tx    *pendingTx
+	e     *coherence.Entry
+	home  int
+	aux   int
+	flag  bool
+	co    *ev
+	addr  uint64
+	issue sim.Time
+	next  *ev // machine free list
 }
 
 // Fire implements sim.Handler.
@@ -194,6 +209,18 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		for _, cb := range cbs {
 			cb(t)
 		}
+
+	case evLockReq:
+		m.lockRequest(c, t)
+
+	case evLockGrant, evBarrierGrant:
+		m.syncGranted(c, t)
+
+	case evLockRelease:
+		m.lockReleased(c, t)
+
+	case evBarrierArrive:
+		m.barrierArrived(c, t)
 	}
 	m.putEv(c)
 }

@@ -128,9 +128,8 @@ type Machine struct {
 	// sp and tl are the optional span recorder and timeline collector.
 	sp *obs.SpanRecorder
 	tl *obs.Timeline
-	// tlFn is the cached timeline-tick closure (one per machine, so
-	// rescheduling the tick allocates nothing per window).
-	tlFn func()
+	// tick is the timeline tick's handler (timeline.go).
+	tick timelineTick
 
 	// Stats accumulates results; valid after Run.
 	Stats *stats.Machine
@@ -177,6 +176,7 @@ const (
 
 // node is one processing node.
 type node struct {
+	m   *Machine
 	id  int
 	st  *stats.Node
 	met NodeMetrics
@@ -196,7 +196,6 @@ type node struct {
 	stashed bool
 	time    sim.Time
 	done    bool
-	stepFn  func() // cached continuation closure (hot path)
 
 	flc    *cache.FLC
 	flwb   *cache.WriteBuffer
@@ -274,6 +273,7 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 			store = cache.NewDirectStore(cfg.SLCSize)
 		}
 		n := &node{
+			m:      m,
 			id:     i,
 			st:     &m.Stats.Nodes[i],
 			stream: prog.Streams[i],
@@ -291,7 +291,6 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 			n.pf = prefetch.None{}
 		}
 		n.pfCross = prefetch.CrossesPages(n.pf)
-		n.stepFn = func() { m.stepNode(n) }
 		n.pfEmit = func(pb mem.Block) { m.emitPrefetch(n, pb) }
 		m.nodes = append(m.nodes, n)
 	}
@@ -300,18 +299,19 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 
 // Run executes the program to completion and returns the collected
 // statistics. It returns an error on deadlock (some processor never
-// reached End) or when MaxEvents is exceeded.
+// reached End) or when events are still pending after MaxEvents.
 func (m *Machine) Run() (*stats.Machine, error) {
 	for _, n := range m.nodes {
-		n := n
-		m.eng.At(0, func() { m.stepNode(n) })
+		m.eng.Schedule(0, n)
 	}
 	if m.tl != nil {
-		m.tlFn = func() { m.timelineTick() }
-		m.eng.At(sim.Time(m.tl.Window()), m.tlFn)
+		m.tick.m = m
+		m.eng.Schedule(sim.Time(m.tl.Window()), &m.tick)
 	}
-	ran := m.eng.Run(m.cfg.MaxEvents)
-	if m.cfg.MaxEvents > 0 && ran >= m.cfg.MaxEvents {
+	// Run stops with events pending only when it hit the limit; a run
+	// that drains on its last allowed event is complete.
+	m.eng.Run(m.cfg.MaxEvents)
+	if m.eng.Pending() > 0 {
 		return nil, fmt.Errorf("machine: exceeded %d events; likely livelock", m.cfg.MaxEvents)
 	}
 	for _, n := range m.nodes {
@@ -347,12 +347,6 @@ func (m *Machine) finalize() {
 
 // home returns the home node of block b.
 func (m *Machine) home(b mem.Block) int { return mem.HomeNode(b, m.cfg.Processors) }
-
-// scheduleStep resumes the processor's fetch-execute loop at its local
-// time.
-func (m *Machine) scheduleStep(n *node) {
-	m.eng.At(n.time, n.stepFn)
-}
 
 // trySLWB claims a slot if one is free; prefetches are dropped rather
 // than queued when the SLWB is full (the lockup-free SLC stalls demand

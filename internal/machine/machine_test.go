@@ -405,6 +405,49 @@ func TestMaxEventsAborts(t *testing.T) {
 	}
 }
 
+// TestMaxEventsExactBudget: a run whose queue drains on its last
+// allowed event is complete, not a livelock; one event fewer aborts.
+func TestMaxEventsExactBudget(t *testing.T) {
+	lock := uint64(3 * mem.PageBytes)
+	newProg := func() *trace.Program {
+		critical := func() []trace.Op {
+			return []trace.Op{
+				rd(page1, 0),
+				{Kind: trace.Acquire, Addr: lock},
+				wr(page1, 0),
+				{Kind: trace.Release, Addr: lock},
+				{Kind: trace.Barrier, Addr: 0},
+				rd(2*page1, 5),
+			}
+		}
+		return prog(critical(), critical())
+	}
+	m, _ := run(t, cfgN(2), newProg())
+	e := m.engMet.Events.Value()
+	if e == 0 {
+		t.Fatal("engine.events is 0")
+	}
+
+	cfg := cfgN(2)
+	cfg.MaxEvents = e
+	exact, err := New(cfg, newProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exact.Run(); err != nil {
+		t.Fatalf("MaxEvents = engine.events (%d): %v", e, err)
+	}
+
+	cfg.MaxEvents = e - 1
+	short, err := New(cfg, newProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := short.Run(); err == nil || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("MaxEvents = engine.events-1 (%d): error %v, want a livelock abort", e-1, err)
+	}
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(cfgN(0), prog()); err == nil {
 		t.Error("accepted zero processors")

@@ -42,7 +42,7 @@ func (m *Machine) stepNode(n *node) {
 		if n.time > m.eng.Horizon() {
 			op.Gap = 0
 			n.stash, n.stashed = op, true
-			m.scheduleStep(n)
+			m.eng.Schedule(n.time, n)
 			return
 		}
 		switch op.Kind {
@@ -73,6 +73,10 @@ func (m *Machine) stepNode(n *node) {
 		}
 	}
 }
+
+// Fire implements sim.Handler: a scheduled step resumes the node's
+// fetch-execute loop.
+func (n *node) Fire(sim.Time) { n.m.stepNode(n) }
 
 // runBatch is the fused fast path: it consumes a prefix of the node's
 // local op batch consisting of FLC read hits and release-consistency
@@ -407,7 +411,7 @@ func (m *Machine) doWrite(n *node, op trace.Op) bool {
 				m.stallSpan(obs.SpanSCWrite, n, uint64(b), issue, t, t-issue)
 			}
 			n.time = t + 1
-			m.scheduleStep(n)
+			m.eng.Schedule(n.time, n)
 		}
 		return false
 	}

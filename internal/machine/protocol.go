@@ -156,7 +156,7 @@ func (m *Machine) resumeDemand(n *node, tx *pendingTx, t sim.Time) {
 	n.st.ReadStall += t - tx.issue - FLCHit
 	n.met.ReadMissStall.Observe(int64(t - tx.issue - FLCHit))
 	n.time = t
-	m.scheduleStep(n)
+	m.eng.Schedule(n.time, n)
 }
 
 // finishReadFill completes a read transaction at the requester: the

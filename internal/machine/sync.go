@@ -41,31 +41,49 @@ func (m *Machine) doAcquire(n *node, addr uint64) {
 	issue := n.time
 	home := m.home(mem.BlockOf(mem.Addr(addr)))
 	arrive := m.mesh.Send(network.ReqPlane, n.id, home, network.CtrlFlits, issue+1)
-	m.eng.At(arrive, func() {
-		done := m.mems[home].Control(m.eng.Now())
-		l := m.lock(addr)
-		if !l.held {
-			l.held = true
-			m.grantLock(home, n, addr, issue, done)
-			return
-		}
-		l.queue = append(l.queue, lockWaiter{n: n, issue: issue})
-	})
+	c := m.newEv(evLockReq)
+	c.n, c.home, c.addr, c.issue = n, home, addr, issue
+	m.eng.Schedule(arrive, c)
 }
 
-// grantLock sends the grant back to the requester and resumes it.
+// lockRequest runs an acquire request at the lock's home: a free lock
+// is granted at once, a held one queues the requester.
+func (m *Machine) lockRequest(c *ev, t sim.Time) {
+	done := m.mems[c.home].Control(t)
+	l := m.lock(c.addr)
+	if !l.held {
+		l.held = true
+		m.grantLock(c.home, c.n, c.addr, c.issue, done)
+		return
+	}
+	l.queue = append(l.queue, lockWaiter{n: c.n, issue: c.issue})
+}
+
+// grantLock sends the grant back to the requester.
 func (m *Machine) grantLock(home int, n *node, addr uint64, issue, t sim.Time) {
 	arrive := m.mesh.Send(network.ReplyPlane, home, n.id, network.CtrlFlits, t)
-	m.eng.At(arrive, func() {
-		now := m.eng.Now()
-		n.st.SyncStall += now - issue
-		n.met.LockWait.Observe(int64(now - issue))
-		if m.sp != nil {
-			m.stallSpan(obs.SpanAcquire, n, addr, issue, now, now-issue)
-		}
-		n.time = now + 1
-		m.scheduleStep(n)
-	})
+	c := m.newEv(evLockGrant)
+	c.n, c.addr, c.issue = n, addr, issue
+	m.eng.Schedule(arrive, c)
+}
+
+// syncGranted resumes a processor when its lock grant or barrier
+// release arrives at t, charging the wait since its issue time.
+func (m *Machine) syncGranted(c *ev, t sim.Time) {
+	n, wait := c.n, t-c.issue
+	n.st.SyncStall += wait
+	cls := obs.SpanAcquire
+	if c.kind == evLockGrant {
+		n.met.LockWait.Observe(int64(wait))
+	} else {
+		n.met.BarrierWait.Observe(int64(wait))
+		cls = obs.SpanBarrier
+	}
+	if m.sp != nil {
+		m.stallSpan(cls, n, c.addr, c.issue, t, wait)
+	}
+	n.time = t + 1
+	m.eng.Schedule(n.time, n)
 }
 
 // doRelease implements a release under release consistency: the
@@ -87,7 +105,7 @@ func (m *Machine) doRelease(n *node, addr uint64) bool {
 			n.time = t
 			m.sendRelease(n, addr)
 			n.time++
-			m.scheduleStep(n)
+			m.eng.Schedule(n.time, n)
 		}
 		return false
 	}
@@ -96,25 +114,30 @@ func (m *Machine) doRelease(n *node, addr uint64) bool {
 	return true
 }
 
-// sendRelease fires the release message; the home hands the lock to the
-// next queued waiter, if any.
+// sendRelease fires the release message.
 func (m *Machine) sendRelease(n *node, addr uint64) {
 	home := m.home(mem.BlockOf(mem.Addr(addr)))
 	arrive := m.mesh.Send(network.ReqPlane, n.id, home, network.CtrlFlits, n.time)
-	m.eng.At(arrive, func() {
-		done := m.mems[home].Control(m.eng.Now())
-		l := m.lock(addr)
-		if !l.held {
-			panic(fmt.Sprintf("machine: node %d released lock %#x that is not held", n.id, addr))
-		}
-		if len(l.queue) == 0 {
-			l.held = false
-			return
-		}
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		m.grantLock(home, w.n, addr, w.issue, done)
-	})
+	c := m.newEv(evLockRelease)
+	c.n, c.home, c.addr = n, home, addr
+	m.eng.Schedule(arrive, c)
+}
+
+// lockReleased runs a release at the lock's home, handing the lock to
+// the next queued waiter, if any.
+func (m *Machine) lockReleased(c *ev, t sim.Time) {
+	done := m.mems[c.home].Control(t)
+	l := m.lock(c.addr)
+	if !l.held {
+		panic(fmt.Sprintf("machine: node %d released lock %#x that is not held", c.n.id, c.addr))
+	}
+	if len(l.queue) == 0 {
+		l.held = false
+		return
+	}
+	w := l.queue[0]
+	l.queue = l.queue[1:]
+	m.grantLock(c.home, w.n, c.addr, w.issue, done)
 }
 
 // barrier collects arrivals at node 0's memory and releases everyone
@@ -124,6 +147,9 @@ type barrier struct {
 	arrived int
 	waiters []lockWaiter
 }
+
+// barrierHome is the node whose memory collects barrier arrivals.
+const barrierHome = 0
 
 // doBarrier sends the barrier arrival (after draining writes, as a
 // release point under release consistency) and blocks until released.
@@ -147,32 +173,29 @@ func (m *Machine) sendBarrierArrive(n *node, episode uint64, issue sim.Time) {
 		panic(fmt.Sprintf("machine: node %d arrived at barrier %d, machine is at %d (malformed program)",
 			n.id, episode, m.bar.episode))
 	}
-	const barrierHome = 0
 	arrive := m.mesh.Send(network.ReqPlane, n.id, barrierHome, network.CtrlFlits, n.time+1)
-	m.eng.At(arrive, func() {
-		done := m.mems[barrierHome].Control(m.eng.Now())
-		m.bar.arrived++
-		m.bar.waiters = append(m.bar.waiters, lockWaiter{n: n, issue: issue})
-		if m.bar.arrived < m.cfg.Processors {
-			return
-		}
-		waiters := m.bar.waiters
-		m.bar.arrived = 0
-		m.bar.waiters = nil
-		m.bar.episode++
-		for _, w := range waiters {
-			w := w
-			grantArrive := m.mesh.Send(network.ReplyPlane, barrierHome, w.n.id, network.CtrlFlits, done)
-			m.eng.At(grantArrive, func() {
-				now := m.eng.Now()
-				w.n.st.SyncStall += now - w.issue
-				w.n.met.BarrierWait.Observe(int64(now - w.issue))
-				if m.sp != nil {
-					m.stallSpan(obs.SpanBarrier, w.n, episode, w.issue, now, now-w.issue)
-				}
-				w.n.time = now + 1
-				m.scheduleStep(w.n)
-			})
-		}
-	})
+	c := m.newEv(evBarrierArrive)
+	c.n, c.addr, c.issue = n, episode, issue
+	m.eng.Schedule(arrive, c)
+}
+
+// barrierArrived counts one arrival at the barrier's home; the last
+// one sends every waiter its release, in arrival order.
+func (m *Machine) barrierArrived(c *ev, t sim.Time) {
+	done := m.mems[barrierHome].Control(t)
+	m.bar.arrived++
+	m.bar.waiters = append(m.bar.waiters, lockWaiter{n: c.n, issue: c.issue})
+	if m.bar.arrived < m.cfg.Processors {
+		return
+	}
+	waiters := m.bar.waiters
+	m.bar.arrived = 0
+	m.bar.waiters = nil
+	m.bar.episode++
+	for _, w := range waiters {
+		grantArrive := m.mesh.Send(network.ReplyPlane, barrierHome, w.n.id, network.CtrlFlits, done)
+		g := m.newEv(evBarrierGrant)
+		g.n, g.addr, g.issue = w.n, c.addr, w.issue
+		m.eng.Schedule(grantArrive, g)
+	}
 }

@@ -14,14 +14,18 @@ import (
 // per-op timing arithmetic is identical either way (the spans/timeline
 // differential test pins the stats digest).
 
-// timelineTick records one window and reschedules itself while the
+// timelineTick is the tick's handler, embedded in the machine so
+// rescheduling it allocates nothing.
+type timelineTick struct{ m *Machine }
+
+// Fire records one window and reschedules the tick while the
 // simulation still has work pending (stopping on an empty queue keeps
 // the engine's run loop able to terminate).
-func (m *Machine) timelineTick() {
-	now := m.eng.Now()
+func (k *timelineTick) Fire(now sim.Time) {
+	m := k.m
 	m.tl.Record(m.timePoint(now))
 	if m.eng.Pending() > 0 {
-		m.eng.At(now+sim.Time(m.tl.Window()), m.tlFn)
+		m.eng.Schedule(now+sim.Time(m.tl.Window()), k)
 	}
 }
 

@@ -34,22 +34,59 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	e.Run(int64(b.N))
 }
 
-// BenchmarkEngineScheduleClosure is the same cycle through the legacy
-// At path, for comparison in the bench trajectory.
-func BenchmarkEngineScheduleClosure(b *testing.B) {
+// mixDelays is a fixed delay table shaped like the scheduling traffic
+// of a full-size 16-processor run: most pushes are processor step
+// resumes a few pclocks ahead, then mesh hops and memory accesses, and
+// 3 in 1000 (0.3%, Ocean's share) land W or more ahead — up to the
+// 2255-pclock maximum seen — and so take the overflow path.
+var mixDelays = func() []Time {
+	var d []Time
+	for i := 0; i < 600; i++ {
+		d = append(d, Time(i%9)) // step resumes: 0..8
+	}
+	for i := 0; i < 250; i++ {
+		d = append(d, Time(9+i%32)) // mesh hops: 9..40
+	}
+	for i := 0; i < 147; i++ {
+		d = append(d, Time(41+i*215/147)) // memory and remote: 41..255
+	}
+	d = append(d, wheelSize, 700, 2255)
+	rng := NewRand(1995)
+	for i := len(d) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		d[i], d[j] = d[j], d[i]
+	}
+	return d
+}()
+
+// mixHandler reschedules itself forever with the next delay from
+// mixDelays; the handlers of one benchmark share the table cursor.
+type mixHandler struct {
+	e   *Engine
+	cur *int
+}
+
+func (h *mixHandler) Fire(t Time) {
+	k := *h.cur
+	*h.cur = (k + 1) % len(mixDelays)
+	h.e.Schedule(t+mixDelays[k], h)
+}
+
+// BenchmarkEngineScheduleMix measures the schedule/fire cycle under
+// real traffic: a standing depth of 900 events (fig6-local's peak
+// queue depth is 895) with delays drawn from mixDelays, so the wheel,
+// bucket FIFOs of several events, and the overflow heap's migration all
+// take part. Steady state must report 0 allocs/op.
+func BenchmarkEngineScheduleMix(b *testing.B) {
 	var e Engine
-	const depth = 64
-	var fire func()
-	left := b.N
-	fire = func() {
-		if left > 0 {
-			left--
-			e.After(3, fire)
-		}
+	const depth = 900
+	cur := 0
+	handlers := make([]mixHandler, depth)
+	for i := range handlers {
+		handlers[i] = mixHandler{e: &e, cur: &cur}
+		e.Schedule(Time(i%64), &handlers[i])
 	}
-	for i := 0; i < depth; i++ {
-		e.At(Time(i), fire)
-	}
+	e.Run(200_000) // grow the slot pool and overflow heap to steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run(int64(b.N))

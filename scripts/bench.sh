@@ -75,7 +75,7 @@ run() { # pattern package benchtime
 bench_all() {
   if [[ -z "$quick" ]]; then
     run 'Figure6Serial|SimulatorThroughput' . 1x
-    run 'EngineSchedule' ./internal/sim 2s
+    run 'EngineSchedule$|EngineScheduleMix' ./internal/sim 2s
     run 'BlockTable|StdlibMap' ./internal/blockmap 2s
     run 'StreamNext' ./internal/trace 2s
     run 'MeshSend' ./internal/network 2s
@@ -83,7 +83,7 @@ bench_all() {
     # Quick subset: the substrate micro-benchmarks at a shorter
     # benchtime — minutes instead of tens of minutes, enough signal
     # for CI's coarse (>25% ns/op) regression gate.
-    run 'EngineSchedule$' ./internal/sim 1s
+    run 'EngineSchedule$|EngineScheduleMix' ./internal/sim 1s
     run 'BlockTable$|BlockTableHits' ./internal/blockmap 1s
     run 'StreamNext' ./internal/trace 1s
     run 'MeshSend' ./internal/network 1s
